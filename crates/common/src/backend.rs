@@ -345,8 +345,8 @@ pub struct OperatorContext {
     pub data_dir: PathBuf,
     /// Job-wide telemetry handle; `None` disables store instrumentation.
     pub telemetry: Option<Arc<crate::telemetry::Telemetry>>,
-    /// Background I/O policy; `None` (or `threads == 0`) keeps every
-    /// store read synchronous. Factories that support the ring build one
+    /// Background I/O policy; `None` (or `threads == 0`) disables
+    /// background prefetching. Factories that support the ring build one
     /// over their own VFS so fault injection covers background I/O.
     pub io: Option<crate::ioring::IoPolicy>,
 }

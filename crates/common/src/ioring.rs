@@ -3,11 +3,14 @@
 //!
 //! The ring exists so stores can move *anticipatable* reads — predictive
 //! batch reads ahead of an ETT-predicted trigger, per-window AAR log
-//! scans, LSM block warm-ups, serving snapshots — off the worker's hot
-//! path. The shape deliberately mirrors io_uring: callers `submit` jobs
-//! tagged with an opaque `tag`, the pool executes them against the ring's
-//! shared `Arc<dyn Vfs>`, and callers later `drain_tag` finished
-//! completions (non-blocking) or `wait` on a specific submission.
+//! scans, LSM block warm-ups, cold-tier window reads — off the worker's
+//! hot path. It carries prefetches only: a read the worker needs now
+//! gains nothing from a pool thread it would wait on, so demand reads
+//! stay synchronous. The shape deliberately mirrors io_uring: callers
+//! `submit` jobs tagged with an opaque `tag`, the pool executes them
+//! against the ring's shared `Arc<dyn Vfs>`, and callers later
+//! `drain_tag` finished completions (non-blocking) or `wait` on a
+//! specific prefetch already in flight.
 //!
 //! Two properties make the ring safe to thread through a deterministic,
 //! fault-injected system:

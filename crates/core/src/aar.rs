@@ -104,7 +104,8 @@ pub struct AarStore {
     encode_buf: Vec<u8>,
     metrics: Arc<StoreMetrics>,
     vfs: Arc<dyn Vfs>,
-    /// Background I/O ring shared by this worker's store instances.
+    /// Background I/O ring shared by this worker's store instances; it
+    /// carries window-file prefetches only.
     ring: Option<Arc<IoRing>>,
     ring_tag: u64,
     /// How far past current stream time (ms of event time) window ends
@@ -591,47 +592,10 @@ impl AarStore {
                 w.flush()?;
             }
         }
-        match self.ring.clone() {
-            Some(ring) => {
-                // Route the snapshot reads through the ring: one job per
-                // window file, submitted together so the pool overlaps
-                // them, then collected in window order.
-                let ids: Vec<(WindowId, u64)> = windows
-                    .iter()
-                    .map(|&window| {
-                        let path = self.dir.join(window_file_name(window));
-                        let job =
-                            move |vfs: &Arc<dyn Vfs>| -> std::io::Result<Box<dyn Any + Send>> {
-                                Ok(Box::new(read_window_file(vfs, &path).map_err(ring_err)?)
-                                    as Box<dyn Any + Send>)
-                            };
-                        (window, ring.submit(self.ring_tag, Box::new(job)))
-                    })
-                    .collect();
-                for (window, id) in ids {
-                    let payload = ring.wait(id).into_result().map_err(|e| {
-                        StoreError::io_at(
-                            "aar view read",
-                            self.dir.join(window_file_name(window)),
-                            e,
-                        )
-                    })?;
-                    let pairs = *payload.downcast::<Vec<Pair>>().map_err(|_| {
-                        StoreError::invalid_state("aar ring returned foreign payload")
-                    })?;
-                    for (key, value) in pairs {
-                        push_view_value(out, key, window, value)?;
-                    }
-                }
-            }
-            None => {
-                for window in windows {
-                    let pairs =
-                        read_window_file(&self.vfs, &self.dir.join(window_file_name(window)))?;
-                    for (key, value) in pairs {
-                        push_view_value(out, key, window, value)?;
-                    }
-                }
+        for window in windows {
+            let pairs = read_window_file(&self.vfs, &self.dir.join(window_file_name(window)))?;
+            for (key, value) in pairs {
+                push_view_value(out, key, window, value)?;
             }
         }
         for (&window, pairs) in &self.buffer {
@@ -779,8 +743,7 @@ fn encode_batch_into(buf: &mut Vec<u8>, pairs: &[Pair]) {
 }
 
 /// Reads a whole per-window log file into pairs, a torn tail ending the
-/// file as in `get_window_chunk`. Shared by the synchronous and
-/// ring-offloaded snapshot paths.
+/// file as in `get_window_chunk`.
 fn read_window_file(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Vec<Pair>> {
     let mut reader = LogReader::open_in(vfs, path)?;
     let mut pairs: Vec<Pair> = Vec::new();
@@ -851,6 +814,7 @@ fn group_by_key(pairs: Vec<Pair>) -> WindowChunk {
 mod tests {
     use super::*;
     use flowkv_common::scratch::ScratchDir;
+    use flowkv_common::telemetry::Histogram;
 
     fn store(dir: &Path) -> AarStore {
         AarStore::open(dir, 1024, 4, StoreMetrics::new_shared()).unwrap()
@@ -1040,17 +1004,26 @@ mod tests {
         assert!(view2.is_empty());
     }
 
-    fn ring_store(dir: &Path) -> (AarStore, Arc<IoRing>) {
+    /// A store on a two-thread ring, plus the ring's job count: its
+    /// telemetry records one `prefetch_queue_delay_nanos` sample per job.
+    fn ring_store(dir: &Path) -> (AarStore, Arc<IoRing>, Arc<Histogram>) {
         let s = store(dir);
-        let ring = Arc::new(IoRing::new(s.vfs.clone(), 2));
+        let telemetry = Telemetry::new_shared();
+        let jobs = telemetry.registry().histogram("prefetch_queue_delay_nanos");
+        let ring = Arc::new(IoRing::with_telemetry(
+            s.vfs.clone(),
+            2,
+            None,
+            Some(telemetry),
+        ));
         let s = s.with_ring(ring.clone(), 3, &IoPolicy::with_threads(2));
-        (s, ring)
+        (s, ring, jobs)
     }
 
     #[test]
     fn async_prefetch_serves_drains() {
         let dir = ScratchDir::new("aar-ring").unwrap();
-        let (mut s, ring) = ring_store(dir.path());
+        let (mut s, ring, _) = ring_store(dir.path());
         let win = w(0, 100);
         s.append(b"a", win, b"1").unwrap();
         s.append(b"b", win, b"2").unwrap();
@@ -1077,7 +1050,7 @@ mod tests {
     #[test]
     fn drain_racing_prefetch_stays_exact() {
         let dir = ScratchDir::new("aar-ring-race").unwrap();
-        let (mut s, ring) = ring_store(dir.path());
+        let (mut s, ring, _) = ring_store(dir.path());
         let win = w(0, 100);
         for i in 0..20u32 {
             s.append(b"k", win, &i.to_le_bytes()).unwrap();
@@ -1099,7 +1072,7 @@ mod tests {
     #[test]
     fn close_waits_out_inflight_reads() {
         let dir = ScratchDir::new("aar-ring-close").unwrap();
-        let (mut s, ring) = ring_store(dir.path());
+        let (mut s, ring, _) = ring_store(dir.path());
         let win = w(0, 100);
         s.append(b"k", win, b"v").unwrap();
         s.flush().unwrap();
@@ -1117,9 +1090,9 @@ mod tests {
     }
 
     #[test]
-    fn view_routes_through_ring() {
+    fn view_reads_bypass_the_ring() {
         let dir = ScratchDir::new("aar-ring-view").unwrap();
-        let (mut s, _ring) = ring_store(dir.path());
+        let (mut s, ring, jobs) = ring_store(dir.path());
         let win = w(0, 100);
         s.append(b"a", win, b"1").unwrap();
         s.flush().unwrap();
@@ -1130,6 +1103,8 @@ mod tests {
             view.get(&(b"a".to_vec(), win)),
             Some(&ViewValue::Values(vec![b"1".to_vec(), b"2".to_vec()]))
         );
+        ring.wait_idle();
+        assert_eq!(jobs.count(), 0, "snapshot read used the ring");
     }
 
     #[test]

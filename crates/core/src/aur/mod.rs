@@ -71,9 +71,8 @@ fn data_file_name(generation: u64) -> String {
 
 /// Walks an index log from `scan_start`, skipping each state key's dead
 /// prefix of consumed records, and returns the surviving entries in log
-/// order. Shared by the synchronous and ring-offloaded scans of
-/// `collect_view` and `compact`; callers apply Stat-liveness filtering
-/// (the ring job can't touch the store's `Stat`).
+/// order. Shared by the scans of `collect_view` and `compact`; callers
+/// apply Stat-liveness filtering.
 fn scan_live_index(
     vfs: &Arc<dyn Vfs>,
     path: &Path,
@@ -148,8 +147,9 @@ pub struct AurStore {
     /// Prefetch-accuracy telemetry; `None` keeps the hot path untouched.
     ett_probe: Option<EttProbe>,
     vfs: Arc<dyn Vfs>,
-    /// Background I/O ring of the owning backend; `None` keeps every
-    /// read synchronous (the default, and the reference semantics).
+    /// Background I/O ring of the owning backend, carrying prefetches
+    /// only; `None` disables prefetching (the default, and the reference
+    /// semantics). Demand reads never touch it.
     ring: Option<Arc<IoRing>>,
     /// Completion routing tag of this instance on the shared ring.
     ring_tag: u64,
@@ -319,8 +319,8 @@ impl AurStore {
 
     /// Attaches the owning backend's background I/O ring: predictive
     /// batch reads become asynchronous submissions driven by
-    /// [`AurStore::advance_prefetch`], and snapshot/compaction index
-    /// scans run on the ring's pool. `tag` routes this instance's
+    /// [`AurStore::advance_prefetch`]. Snapshot and compaction scans stay
+    /// synchronous on the worker. `tag` routes this instance's
     /// completions on the shared ring.
     pub fn with_ring(mut self, ring: Arc<IoRing>, tag: u64, policy: &IoPolicy) -> Self {
         self.ring = Some(ring);
@@ -552,18 +552,22 @@ impl AurStore {
             }
             let index_path = self.dir.join(index_file_name(self.generation));
             if self.vfs.exists(&index_path) {
-                let mut wanted: Vec<(StateKey, u64)> = self
-                    .scan_live_index_routed("aur view scan", &index_path)?
-                    .into_iter()
-                    .filter(|e| self.stat.get(&e.key, e.window).is_some())
-                    .map(|e| ((e.key, e.window), e.offset))
-                    .collect();
+                let mut wanted: Vec<(StateKey, u64)> = scan_live_index(
+                    &self.vfs,
+                    &index_path,
+                    self.index_scan_start,
+                    &self.consumed_records,
+                )?
+                .into_iter()
+                .filter(|e| self.stat.get(&e.key, e.window).is_some())
+                .map(|e| ((e.key, e.window), e.offset))
+                .collect();
                 wanted.sort_by_key(|(_, offset)| *offset);
                 if !wanted.is_empty() {
-                    for ((key, window), values) in
-                        self.read_records_routed("aur view read", wanted)?
-                    {
-                        for value in values {
+                    self.open_data_reader()?;
+                    let data = self.data_reader.as_mut().expect("opened above");
+                    for ((key, window), offset) in wanted {
+                        for value in decode_values(&data.read_record_at(offset)?)? {
                             push_view_value(out, key.clone(), window, value)?;
                         }
                     }
@@ -812,10 +816,7 @@ impl AurStore {
         // Load in offset order for sequential I/O; records of one window
         // stay in append order because offsets grow with appends.
         wanted.sort_by_key(|(_, offset, _)| *offset);
-        if self.data_reader.is_none() {
-            let data_path = self.dir.join(data_file_name(self.generation));
-            self.data_reader = Some(RandomAccessLog::open_in(&self.vfs, &data_path)?);
-        }
+        self.open_data_reader()?;
         let data = self.data_reader.as_mut().expect("opened above");
         for (state_key, offset, len) in wanted {
             let payload = data.read_record_at(offset)?;
@@ -826,83 +827,14 @@ impl AurStore {
         Ok(self.prefetch.take(key, window).unwrap_or_default())
     }
 
-    /// Runs [`scan_live_index`] for a generation's index log, offloading
-    /// to the I/O ring when one is attached. Serving-snapshot and
-    /// compaction scans both block on the result, but routing them
-    /// through the ring keeps every disk read on the pool threads.
-    fn scan_live_index_routed(
-        &self,
-        context: &'static str,
-        path: &Path,
-    ) -> Result<Vec<IndexEntry>> {
-        let scan_start = self.index_scan_start;
-        match self.ring.clone() {
-            Some(ring) => {
-                let consumed = self.consumed_records.clone();
-                let job_path = path.to_path_buf();
-                let job = move |vfs: &Arc<dyn Vfs>| -> std::io::Result<Box<dyn Any + Send>> {
-                    let live =
-                        scan_live_index(vfs, &job_path, scan_start, &consumed).map_err(ring_err)?;
-                    Ok(Box::new(live) as Box<dyn Any + Send>)
-                };
-                let id = ring.submit(self.ring_tag, Box::new(job));
-                let payload = ring
-                    .wait(id)
-                    .into_result()
-                    .map_err(|e| StoreError::io_at(context, path, e))?;
-                Ok(*payload
-                    .downcast::<Vec<IndexEntry>>()
-                    .map_err(|_| StoreError::invalid_state("aur ring returned foreign payload"))?)
-            }
-            None => scan_live_index(&self.vfs, path, scan_start, &self.consumed_records),
+    /// Opens the current generation's data log on first use; the reader
+    /// is kept for later random reads.
+    fn open_data_reader(&mut self) -> Result<()> {
+        if self.data_reader.is_none() {
+            let data_path = self.dir.join(data_file_name(self.generation));
+            self.data_reader = Some(RandomAccessLog::open_in(&self.vfs, &data_path)?);
         }
-    }
-
-    /// Reads data-log records at the given (offset-sorted) locations,
-    /// through the ring when attached; the synchronous path reuses the
-    /// store's cached random-access reader.
-    fn read_records_routed(
-        &mut self,
-        context: &'static str,
-        wanted: Vec<(StateKey, u64)>,
-    ) -> Result<Vec<(StateKey, Vec<Vec<u8>>)>> {
-        let data_path = self.dir.join(data_file_name(self.generation));
-        match self.ring.clone() {
-            Some(ring) => {
-                let job_path = data_path.clone();
-                let job = move |vfs: &Arc<dyn Vfs>| -> std::io::Result<Box<dyn Any + Send>> {
-                    let mut data = RandomAccessLog::open_in(vfs, &job_path).map_err(ring_err)?;
-                    let mut loaded: Vec<(StateKey, Vec<Vec<u8>>)> =
-                        Vec::with_capacity(wanted.len());
-                    for (state_key, offset) in wanted {
-                        let payload = data.read_record_at(offset).map_err(ring_err)?;
-                        loaded.push((state_key, decode_values(&payload).map_err(ring_err)?));
-                    }
-                    Ok(Box::new(loaded) as Box<dyn Any + Send>)
-                };
-                let id = ring.submit(self.ring_tag, Box::new(job));
-                let payload = ring
-                    .wait(id)
-                    .into_result()
-                    .map_err(|e| StoreError::io_at(context, &data_path, e))?;
-                Ok(*payload
-                    .downcast::<Vec<(StateKey, Vec<Vec<u8>>)>>()
-                    .map_err(|_| StoreError::invalid_state("aur ring returned foreign payload"))?)
-            }
-            None => {
-                if self.data_reader.is_none() {
-                    self.data_reader = Some(RandomAccessLog::open_in(&self.vfs, &data_path)?);
-                }
-                let mut loaded = Vec::with_capacity(wanted.len());
-                if let Some(data) = self.data_reader.as_mut() {
-                    for (state_key, offset) in wanted {
-                        let payload = data.read_record_at(offset)?;
-                        loaded.push((state_key, decode_values(&payload)?));
-                    }
-                }
-                Ok(loaded)
-            }
-        }
+        Ok(())
     }
 
     /// True when `(key, window)` is covered by an outstanding submission.
@@ -1267,11 +1199,15 @@ impl AurStore {
             // Collect live entries in append order, skipping each state
             // key's dead prefix of consumed records (everything before
             // `index_scan_start` is known dead).
-            let live: Vec<IndexEntry> = self
-                .scan_live_index_routed("aur compact scan", &old_index)?
-                .into_iter()
-                .filter(|e| self.stat.get(&e.key, e.window).is_some())
-                .collect();
+            let live: Vec<IndexEntry> = scan_live_index(
+                &self.vfs,
+                &old_index,
+                self.index_scan_start,
+                &self.consumed_records,
+            )?
+            .into_iter()
+            .filter(|e| self.stat.get(&e.key, e.window).is_some())
+            .collect();
             // Relocate the live byte ranges of the data log.
             let mut src = self
                 .vfs
@@ -1765,17 +1701,51 @@ mod tests {
         assert_eq!(s.take(b"k", w(0, 100)).unwrap(), vec![b"v".to_vec()]);
     }
 
-    fn ring_store(dir: &Path) -> (AurStore, Arc<IoRing>) {
+    /// A store on a two-thread ring, plus the ring's job count: its
+    /// telemetry records one `prefetch_queue_delay_nanos` sample per job.
+    fn ring_store(dir: &Path) -> (AurStore, Arc<IoRing>, Arc<Histogram>) {
         let s = session_store(dir, cfg_small());
-        let ring = Arc::new(IoRing::new(s.vfs.clone(), 2));
+        let telemetry = Telemetry::new_shared();
+        let jobs = telemetry.registry().histogram("prefetch_queue_delay_nanos");
+        let ring = Arc::new(IoRing::with_telemetry(
+            s.vfs.clone(),
+            2,
+            None,
+            Some(telemetry),
+        ));
         let s = s.with_ring(ring.clone(), 7, &IoPolicy::with_threads(2));
-        (s, ring)
+        (s, ring, jobs)
+    }
+
+    #[test]
+    fn demand_reads_bypass_the_ring() {
+        let dir = ScratchDir::new("aur-ring-demand").unwrap();
+        let (mut s, ring, jobs) = ring_store(dir.path());
+        for i in 0..40i64 {
+            let key = format!("k{}", i % 4).into_bytes();
+            s.append(&key, w(0, 100), &[7u8; 64], i).unwrap();
+        }
+        s.flush().unwrap();
+        let mut view = BTreeMap::new();
+        s.collect_view(&mut view).unwrap();
+        assert_eq!(view.len(), 4);
+        ring.wait_idle();
+        assert_eq!(jobs.count(), 0, "a snapshot read used the ring");
+        // Consume two keys so compaction has dead bytes to drop.
+        s.take(b"k0", w(0, 100)).unwrap();
+        s.take(b"k1", w(0, 100)).unwrap();
+        let generation = s.generation();
+        s.compact().unwrap();
+        assert_eq!(s.generation(), generation + 1);
+        ring.wait_idle();
+        assert_eq!(jobs.count(), 0, "a compaction read used the ring");
+        assert_eq!(s.take(b"k2", w(0, 100)).unwrap().len(), 10);
     }
 
     #[test]
     fn async_prefetch_serves_takes_from_buffer() {
         let dir = ScratchDir::new("aur-ring-hit").unwrap();
-        let (mut s, ring) = ring_store(dir.path());
+        let (mut s, ring, _) = ring_store(dir.path());
         s.append(b"a", w(0, 100), b"v1", 10).unwrap();
         s.append(b"b", w(0, 100), b"v2", 20).unwrap();
         s.flush().unwrap();
@@ -1794,7 +1764,7 @@ mod tests {
     #[test]
     fn async_prefetch_rejects_stale_reads() {
         let dir = ScratchDir::new("aur-ring-stale").unwrap();
-        let (mut s, ring) = ring_store(dir.path());
+        let (mut s, ring, _) = ring_store(dir.path());
         s.append(b"a", w(0, 100), b"v1", 10).unwrap();
         s.flush().unwrap();
         s.advance_prefetch(50).unwrap();
@@ -1815,7 +1785,7 @@ mod tests {
     #[test]
     fn close_waits_out_inflight_reads() {
         let dir = ScratchDir::new("aur-ring-close").unwrap();
-        let (mut s, ring) = ring_store(dir.path());
+        let (mut s, ring, _) = ring_store(dir.path());
         s.append(b"a", w(0, 100), b"v1", 10).unwrap();
         s.flush().unwrap();
         s.advance_prefetch(50).unwrap();

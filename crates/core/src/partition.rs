@@ -78,7 +78,7 @@ mod tests {
     }
 
     #[test]
-    fn for_key_returns_routed_instance() {
+    fn for_key_returns_the_indexed_instance() {
         let mut p = Partitioned::new(vec![0u32, 1, 2]);
         let idx = p.index_of(b"some-key");
         assert_eq!(*p.for_key(b"some-key"), idx as u32);

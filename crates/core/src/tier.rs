@@ -18,11 +18,11 @@
 //!   pathological forced-demotion cell of the differential tier harness:
 //!   every write immediately seals to a cold block.
 //! - **Promotion** happens lazily on the first access that touches a
-//!   window with cold blocks. Block reads route through the background
-//!   I/O ring when one is configured ([`OperatorContext::io`]), and
-//!   [`TieredStore::advance_prefetch`] pre-submits reads for cold
-//!   windows whose end falls within the prefetch horizon so the read
-//!   overlaps compute.
+//!   window with cold blocks. When a background I/O ring is configured
+//!   ([`OperatorContext::io`]), [`TieredStore::advance_prefetch`]
+//!   pre-submits reads for cold windows whose end falls within the
+//!   prefetch horizon so the read overlaps compute; a window no
+//!   prefetch covers is read synchronously on the worker.
 //! - **Compaction** rewrites the cold log sequentially once promoted
 //!   (dead) blocks dominate, exactly like the MSA scan it mirrors:
 //!   surviving blocks are copied in window order to a fresh log which
@@ -387,7 +387,7 @@ impl TieredStore {
         Ok(())
     }
 
-    fn read_blocks_sync(&self, refs: &[BlockRef]) -> Result<Vec<Vec<u8>>> {
+    fn read_blocks(&self, refs: &[BlockRef]) -> Result<Vec<Vec<u8>>> {
         let file = self
             .vfs
             .open_read(&self.cold_path)
@@ -417,8 +417,7 @@ impl TieredStore {
     }
 
     /// Fetches a cold window's block payloads: from the prefetch buffer,
-    /// a pending submission, or (on a miss) a fresh read routed through
-    /// the ring when one is configured.
+    /// a pending submission, or (on a miss) a synchronous read.
     fn fetch_window_blobs(&mut self, window: WindowId, refs: &[BlockRef]) -> Result<Vec<Vec<u8>>> {
         if let Some(mut blobs) = self.prefetched.remove(&window) {
             let bytes: u64 = blobs.iter().map(|b| b.len() as u64).sum();
@@ -430,7 +429,7 @@ impl TieredStore {
             // need a read (block order per window never changes, so the
             // prefetched blobs are exactly refs[..blobs.len()]).
             if blobs.len() < refs.len() {
-                let tail = self.read_blocks_sync(&refs[blobs.len()..])?;
+                let tail = self.read_blocks(&refs[blobs.len()..])?;
                 self.store_metrics
                     .add_bytes_read(tail.iter().map(|b| b.len() as u64).sum());
                 blobs.extend(tail);
@@ -456,7 +455,7 @@ impl TieredStore {
                     self.store_metrics.add_bytes_read(bytes);
                     // Same prefix rule as the prefetch-buffer hit above.
                     if blobs.len() < refs.len() {
-                        let tail = self.read_blocks_sync(&refs[blobs.len()..])?;
+                        let tail = self.read_blocks(&refs[blobs.len()..])?;
                         self.store_metrics
                             .add_bytes_read(tail.iter().map(|b| b.len() as u64).sum());
                         blobs.extend(tail);
@@ -470,23 +469,7 @@ impl TieredStore {
         } else {
             self.store_metrics.add_prefetch_miss();
         }
-        let blobs = if let Some(ring) = &self.ring {
-            // Route even miss reads through the ring so cold I/O shares
-            // the fault surface and telemetry of background reads.
-            let id = ring.submit(
-                TIER_RING_TAG,
-                Self::block_read_job(self.cold_path.clone(), refs.to_vec()),
-            );
-            let payload = ring
-                .wait(id)
-                .into_result()
-                .map_err(|e| self.io_err("tier promote read", e))?;
-            *payload
-                .downcast::<Vec<Vec<u8>>>()
-                .expect("tier promote payload")
-        } else {
-            self.read_blocks_sync(refs)?
-        };
+        let blobs = self.read_blocks(refs)?;
         let bytes: u64 = blobs.iter().map(|b| b.len() as u64).sum();
         self.store_metrics.add_bytes_read(bytes);
         Ok(blobs)
@@ -1559,6 +1542,44 @@ mod tests {
             s.take_values(b"k2", w(100, 200)).unwrap(),
             vec![b"x".to_vec()]
         );
+        s.close().unwrap();
+    }
+
+    #[test]
+    fn promotion_miss_reads_bypass_the_ring() {
+        let dir = ScratchDir::new("tier-ring").unwrap();
+        let inner_ctx = ctx(
+            dir.path(),
+            AggregateKind::FullList,
+            WindowKind::Session { gap: 50 },
+        );
+        let inner = FlowKvFactory::new(FlowKvConfig::small_for_tests())
+            .create(&inner_ctx)
+            .unwrap();
+        // The ring's telemetry records one queue-delay sample per job.
+        let telemetry = Telemetry::new_shared();
+        let jobs = telemetry.registry().histogram("prefetch_queue_delay_nanos");
+        let tier_ctx = OperatorContext {
+            telemetry: Some(Arc::clone(&telemetry)),
+            io: Some(IoPolicy::with_threads(1)),
+            ..inner_ctx
+        };
+        let mut s =
+            TieredStore::new(inner, &tier_ctx, TierConfig::new(0), StdVfs::shared()).unwrap();
+        let win = w(0, 100);
+        for i in 0..4 {
+            s.append(b"k", win, format!("v{i}").as_bytes(), i).unwrap();
+        }
+        // No prefetch was advanced: the miss promotes with a worker read.
+        let expect: Vec<Vec<u8>> = (0..4).map(|i| format!("v{i}").into_bytes()).collect();
+        assert_eq!(s.take_values(b"k", win).unwrap(), expect);
+        assert_eq!(jobs.count(), 0, "a promotion miss read used the ring");
+        // A prefetch, by contrast, is a ring job.
+        let late = w(200, 300);
+        s.append(b"k", late, b"late", 200).unwrap();
+        s.advance_prefetch(200).unwrap();
+        assert_eq!(s.take_values(b"k", late).unwrap(), vec![b"late".to_vec()]);
+        assert_eq!(jobs.count(), 1);
         s.close().unwrap();
     }
 

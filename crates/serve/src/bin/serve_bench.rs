@@ -5,11 +5,11 @@
 //! measures the serving path in three phases over the same live
 //! registry:
 //!
-//! 1. **baseline** — the legacy thread-per-connection core, one point
-//!    lookup per round trip (what every pre-v2 deployment ran);
-//! 2. **pipelined** — the event-loop core with protocol v2 and
-//!    `--depth` point lookups in flight per connection;
-//! 3. **mixed** — the event-loop core under a realistic blend of
+//! 1. **baseline** — one point lookup per round trip (depth 1, what a
+//!    strict request/response client gets);
+//! 2. **pipelined** — protocol v2 with `--depth` point lookups in
+//!    flight per connection;
+//! 3. **mixed** — a realistic blend of
 //!    pipelined point batches, multi-key `LookupMany` frames, and
 //!    prefix-filtered scans.
 //!
@@ -201,22 +201,11 @@ fn main() {
         )
     });
 
-    // Two servers over the same registry: the legacy threaded core as
-    // the baseline, the event loop as the measured core.
-    let mut baseline_server = ServerBuilder::new("127.0.0.1:0", Arc::clone(&registry))
-        .threaded(true)
-        .spawn()
-        .expect("baseline server spawn");
     let mut server = ServerBuilder::new("127.0.0.1:0", Arc::clone(&registry))
         .spawn()
         .expect("server spawn");
     let addr = server.local_addr();
-    eprintln!(
-        "serve_bench: {} core on {addr}, {} baseline on {}",
-        server.core(),
-        baseline_server.core(),
-        baseline_server.local_addr()
-    );
+    eprintln!("serve_bench: state server on {addr}");
 
     // Wait for the first snapshots, then sample real keys off a scan so
     // the lookup mix queries state that actually exists.
@@ -235,12 +224,11 @@ fn main() {
     eprintln!("serve_bench: sampled {} live keys", keys.len());
     let keys = Arc::new(keys);
 
-    // Phase 1 — thread-per-connection baseline, one lookup per round
-    // trip (protocol v1 semantics regardless of the negotiated version).
+    // Phase 1 — baseline, one lookup per round trip.
     let phase_keys = Arc::clone(&keys);
     let baseline = measure_phase(
-        "threaded_depth1",
-        baseline_server.local_addr(),
+        "event_loop_depth1",
+        addr,
         threads,
         measure_secs,
         move |client, rng, _| {
@@ -253,8 +241,7 @@ fn main() {
     );
     baseline.print();
 
-    // Phase 2 — the event loop with `depth` point lookups pipelined per
-    // round trip.
+    // Phase 2 — `depth` point lookups pipelined per round trip.
     let phase_keys = Arc::clone(&keys);
     let pipelined = measure_phase(
         "event_loop_pipelined",
@@ -269,8 +256,8 @@ fn main() {
     );
     pipelined.print();
 
-    // Phase 3 — mixed workload on the event loop: pipelined point
-    // batches, a LookupMany frame, and a prefix-filtered scan.
+    // Phase 3 — mixed workload: pipelined point batches, a LookupMany
+    // frame, and a prefix-filtered scan.
     let phase_keys = Arc::clone(&keys);
     let mixed = measure_phase("event_loop_mixed", addr, threads, measure_secs, {
         move |client, rng, i| {
@@ -310,18 +297,17 @@ fn main() {
     mixed.print();
 
     let speedup = pipelined.throughput() / baseline.throughput().max(1.0);
-    println!("pipelining speedup: {speedup:.2}x over thread-per-connection at depth {depth}");
+    println!("pipelining speedup: {speedup:.2}x over depth 1 at depth {depth}");
 
-    // Let the job drain, then shut the servers down.
+    // Let the job drain, then shut the server down.
     let outcome = job_thread.join().expect("job thread panicked");
     let job_ok = matches!(outcome, CellOutcome::Ok(_));
     let (job_inputs, job_outputs) = match &outcome {
         CellOutcome::Ok(r) => (r.input_count, r.output_count),
         _ => (0, 0),
     };
-    let requests = server.requests_served() + baseline_server.requests_served();
+    let requests = server.requests_served();
     server.shutdown();
-    baseline_server.shutdown();
     println!("job: ok={job_ok} inputs={job_inputs} outputs={job_outputs} (server answered {requests} frames)");
 
     let json = format!(

@@ -9,9 +9,16 @@
 //! the socket accepts bytes. No thread is ever parked on a single
 //! connection, so thousands of idle clients cost one sleeping thread.
 //!
+//! Both buffers are bounded. A read pass ends once the read buffer holds
+//! more than one maximal frame, and a connection whose unsent output
+//! exceeds [`OUTPUT_LIMIT`] is neither read from nor answered until the
+//! peer drains it: its read interest is dropped, and registration is
+//! level-triggered, so the unread bytes wait in the kernel. A client
+//! that pipelines requests without reading replies therefore stalls on
+//! its own socket instead of growing server memory.
+//!
 //! Protocol versions, the v2 handshake, and request-id correlation are
-//! all inside [`Session`] — shared with the legacy threaded core, so
-//! both cores speak identical wire bytes.
+//! all inside [`Session`].
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -19,10 +26,13 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use flowkv_common::error::{Result, StoreError};
+
 use crate::poll::{PollEvent, Poller};
-use crate::protocol::peek_frame;
+use crate::protocol::{peek_frame, FRAME_HEADER, MAX_FRAME};
 use crate::server::{ServeShared, Session};
 
 /// Poll tick: how often the loop re-checks the shutdown flag and idle
@@ -34,6 +44,13 @@ const LISTENER_TOKEN: u64 = 0;
 
 /// Bytes read per `read(2)` call while draining a readable socket.
 const READ_CHUNK: usize = 64 * 1024;
+
+/// Unsent output beyond which a connection stops being read from and
+/// answered. One maximal frame: a single answer may still exceed it.
+const OUTPUT_LIMIT: usize = MAX_FRAME;
+
+/// Buffered input at which a read pass ends: one maximal frame.
+const INPUT_LIMIT: usize = FRAME_HEADER + MAX_FRAME;
 
 /// Tunables handed from the [`ServerBuilder`](crate::server::ServerBuilder).
 pub(crate) struct EventLoopConfig {
@@ -51,31 +68,46 @@ struct Conn {
     write_buf: Vec<u8>,
     write_pos: usize,
     last_active: Instant,
-    want_write: bool,
+    /// The (read, write) interest currently registered with the poller.
+    interest: (bool, bool),
     eof: bool,
 }
 
 impl Conn {
-    fn drained(&self) -> bool {
-        self.write_pos >= self.write_buf.len()
+    fn unsent(&self) -> usize {
+        self.write_buf.len() - self.write_pos
+    }
+
+    /// False while the peer owes us a drain of [`OUTPUT_LIMIT`] bytes.
+    fn has_output_room(&self) -> bool {
+        self.unsent() <= OUTPUT_LIMIT
     }
 }
 
-/// Runs the event loop until `stop` is raised. Consumes the poller and
-/// the (already non-blocking) listener.
-pub(crate) fn run(
+/// Registers the (already non-blocking) listener with a new poller and
+/// starts the event loop on its own thread, which runs until `stop` is
+/// raised.
+pub(crate) fn start(
+    listener: TcpListener,
+    shared: Arc<ServeShared>,
+    stop: Arc<AtomicBool>,
+    cfg: EventLoopConfig,
+) -> Result<JoinHandle<()>> {
+    let poller = Poller::new()?;
+    poller.register(listener.as_raw_fd(), LISTENER_TOKEN, true, false)?;
+    std::thread::Builder::new()
+        .name("flowkv-serve-core".into())
+        .spawn(move || run(poller, listener, shared, stop, cfg))
+        .map_err(|e| StoreError::io("state server core thread", e))
+}
+
+fn run(
     poller: Poller,
     listener: TcpListener,
     shared: Arc<ServeShared>,
     stop: Arc<AtomicBool>,
     cfg: EventLoopConfig,
 ) {
-    if poller
-        .register(listener.as_raw_fd(), LISTENER_TOKEN, true, false)
-        .is_err()
-    {
-        return;
-    }
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token: u64 = LISTENER_TOKEN + 1;
     let mut events: Vec<PollEvent> = Vec::new();
@@ -102,13 +134,13 @@ pub(crate) fn run(
                 continue;
             };
             let mut close = ev.error;
-            if !close && ev.readable {
-                close = on_readable(conn, &shared);
+            if !close && ev.readable && conn.has_output_room() {
+                close = read_socket(conn, &shared);
             }
             if !close && (ev.readable || ev.writable) {
-                close = flush(conn, &shared);
+                close = answer_and_flush(conn, &shared);
             }
-            if !close && conn.eof && conn.drained() {
+            if !close && conn.eof && conn.unsent() == 0 {
                 close = true;
             }
             if close {
@@ -175,7 +207,7 @@ fn accept_ready(
                         write_buf: Vec::new(),
                         write_pos: 0,
                         last_active: Instant::now(),
-                        want_write: false,
+                        interest: (true, false),
                         eof: false,
                     },
                 );
@@ -190,11 +222,12 @@ fn accept_ready(
     }
 }
 
-/// Drains the socket into the read buffer and answers every complete
-/// frame. Returns `true` when the connection must be closed.
-fn on_readable(conn: &mut Conn, shared: &ServeShared) -> bool {
+/// Reads the socket into the read buffer until it would block, the peer
+/// closes, or the buffer holds more than one maximal frame. Returns
+/// `true` when the connection must be closed.
+fn read_socket(conn: &mut Conn, shared: &ServeShared) -> bool {
     let mut tmp = [0u8; READ_CHUNK];
-    loop {
+    while conn.read_buf.len() <= INPUT_LIMIT {
         match conn.stream.read(&mut tmp) {
             Ok(0) => {
                 conn.eof = true;
@@ -211,23 +244,47 @@ fn on_readable(conn: &mut Conn, shared: &ServeShared) -> bool {
             Err(_) => return true,
         }
     }
+    false
+}
+
+/// Answers buffered frames and flushes, repeating while a flush frees
+/// output room for frames still waiting. Returns `true` when the
+/// connection must be closed.
+fn answer_and_flush(conn: &mut Conn, shared: &ServeShared) -> bool {
+    loop {
+        let Some(more) = answer_frames(conn, shared) else {
+            return true;
+        };
+        if flush(conn, shared) {
+            return true;
+        }
+        if !more || !conn.has_output_room() {
+            return false;
+        }
+    }
+}
+
+/// Answers complete buffered frames until none is left or the output
+/// limit is reached. Returns whether frames were left waiting for room,
+/// or `None` when the connection must be closed.
+fn answer_frames(conn: &mut Conn, shared: &ServeShared) -> Option<bool> {
     let mut consumed = 0usize;
     let mut frames = 0u64;
+    let mut more = false;
     loop {
         match peek_frame(&conn.read_buf[consumed..]) {
+            Ok(Some(_)) if !conn.has_output_room() => {
+                more = true;
+                break;
+            }
             Ok(Some((used, range))) => {
-                let (payload_start, payload_end) = (consumed + range.start, consumed + range.end);
-                let session = &mut conn.session;
-                let write_buf = &mut conn.write_buf;
-                if session
-                    .handle(
-                        shared,
-                        &conn.read_buf[payload_start..payload_end],
-                        write_buf,
-                    )
+                let payload = &conn.read_buf[consumed + range.start..consumed + range.end];
+                if conn
+                    .session
+                    .handle(shared, payload, &mut conn.write_buf)
                     .is_err()
                 {
-                    return true;
+                    return None;
                 }
                 consumed += used;
                 frames += 1;
@@ -235,7 +292,7 @@ fn on_readable(conn: &mut Conn, shared: &ServeShared) -> bool {
             Ok(None) => break,
             // A malformed length prefix poisons the whole stream: there
             // is no way to resynchronise on frame boundaries.
-            Err(_) => return true,
+            Err(_) => return None,
         }
     }
     if consumed > 0 {
@@ -247,7 +304,7 @@ fn on_readable(conn: &mut Conn, shared: &ServeShared) -> bool {
             p.pipeline_depth.record(frames);
         }
     }
-    false
+    Some(more)
 }
 
 /// Writes as much buffered output as the socket accepts. Returns `true`
@@ -267,21 +324,23 @@ fn flush(conn: &mut Conn, shared: &ServeShared) -> bool {
             Err(_) => return true,
         }
     }
-    if conn.write_pos > 0 && conn.drained() {
+    if conn.write_pos > 0 && conn.unsent() == 0 {
         conn.write_buf.clear();
         conn.write_pos = 0;
     }
     false
 }
 
+/// Reads only while there is output room; writes only while output is
+/// pending.
 fn update_interest(poller: &Poller, token: u64, conn: &mut Conn) {
-    let want = !conn.drained();
-    if want != conn.want_write
+    let want = (conn.has_output_room(), conn.unsent() > 0);
+    if want != conn.interest
         && poller
-            .modify(conn.stream.as_raw_fd(), token, true, want)
+            .modify(conn.stream.as_raw_fd(), token, want.0, want.1)
             .is_ok()
     {
-        conn.want_write = want;
+        conn.interest = want;
     }
 }
 

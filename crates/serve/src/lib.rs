@@ -14,8 +14,8 @@
 //!    [`ServerBuilder`] — answers point lookups, batched multi-key
 //!    lookups, filtered range scans, and metrics queries over those
 //!    snapshots via a length-prefixed binary TCP protocol
-//!    ([`protocol`]). The default core is a non-blocking **event loop**
-//!    multiplexing every connection onto one readiness-polled thread;
+//!    ([`protocol`]). A non-blocking **event loop** multiplexes every
+//!    connection onto one readiness-polled thread;
 //!    protocol v2 adds per-frame request ids so clients can pipeline
 //!    many requests per connection.
 //! 3. [`StateClient`](client::StateClient) is the matching blocking
@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-#[cfg(unix)]
 mod event_loop;
 mod poll;
 pub mod protocol;

@@ -11,7 +11,8 @@
 //! Registration is **level-triggered** everywhere: an event keeps
 //! firing while the condition holds, so the event loop may consume as
 //! little or as much of a socket's readiness as it likes per wake-up
-//! without risking a lost edge.
+//! without risking a lost edge, and may drop read interest to pause a
+//! connection without losing its unread bytes.
 
 use std::time::Duration;
 
@@ -162,9 +163,11 @@ mod imp {
     }
 
     fn interest(token: u64, readable: bool, writable: bool) -> EpollEvent {
-        let mut events = EPOLLRDHUP;
+        // Peer half-close counts as read interest: without it a paused
+        // reader would be woken (level-triggered) on every wait.
+        let mut events = 0;
         if readable {
-            events |= EPOLLIN;
+            events |= EPOLLIN | EPOLLRDHUP;
         }
         if writable {
             events |= EPOLLOUT;
@@ -288,31 +291,9 @@ mod imp {
     }
 }
 
-#[cfg(unix)]
 pub use imp::Poller;
 
-#[cfg(not(unix))]
-mod imp {
-    use super::*;
-
-    /// Unsupported-platform stub; construction fails so the server
-    /// builder can fall back to the threaded core.
-    pub struct Poller;
-
-    impl Poller {
-        /// Always fails on this platform.
-        pub fn new() -> Result<Self> {
-            Err(StoreError::invalid_state(
-                "readiness polling is unsupported on this platform",
-            ))
-        }
-    }
-}
-
-#[cfg(not(unix))]
-pub use imp::Poller;
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

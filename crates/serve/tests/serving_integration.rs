@@ -7,12 +7,14 @@
 //! outputs are byte-identical. Around it: protocol-compatibility tests
 //! proving a v1 client round-trips unchanged against the v2 event-loop
 //! server, that pipelined v2 batches correlate by request id, and that
-//! both serving cores (event loop and legacy threaded) speak the same
-//! wire bytes.
+//! the event loop enforces its connection cap, idle timeout, and
+//! per-connection buffer bounds.
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use flowkv::{FlowKvConfig, FlowKvFactory};
 use flowkv_common::registry::{StateKey, StatePattern, StateRegistry, StateView, ViewValue};
@@ -20,8 +22,9 @@ use flowkv_common::scratch::ScratchDir;
 use flowkv_common::telemetry::{validate_prometheus, Telemetry};
 use flowkv_common::types::{Tuple, WindowId, MAX_TIMESTAMP, MIN_TIMESTAMP};
 use flowkv_nexmark::{EventGenerator, GeneratorConfig, QueryId, QueryParams};
+use flowkv_serve::protocol::{read_frame, split_request_id, write_frame, write_frame_v2};
 use flowkv_serve::{
-    route_key, Request, Response, ScanFilter, ServerBuilder, StateClient, StateServer, PROTOCOL_V1,
+    route_key, Request, Response, ScanFilter, ServerBuilder, StateClient, MAX_FRAME, PROTOCOL_V1,
     PROTOCOL_V2,
 };
 use flowkv_spe::{run_job, RunOptions};
@@ -110,8 +113,6 @@ fn concurrent_queries_never_change_job_output() {
         .spawn()
         .unwrap();
     let addr = server.local_addr();
-    #[cfg(unix)]
-    assert_eq!(server.core(), "event-loop");
 
     let stop = Arc::new(AtomicBool::new(false));
     let hits = Arc::new(AtomicU64::new(0));
@@ -133,7 +134,7 @@ fn concurrent_queries_never_change_job_output() {
                 // Refresh the key sample from a live scan now and then;
                 // before any snapshot exists these return UnknownState,
                 // which is fine — keep polling.
-                if sampled.is_empty() || i % 64 == 0 {
+                if sampled.is_empty() || i.is_multiple_of(64) {
                     if let Ok(scan) = client.scan(JOB, OPERATOR, MIN_TIMESTAMP, MAX_TIMESTAMP, 512)
                     {
                         scanned.fetch_add(scan.entries.len() as u64, Ordering::Relaxed);
@@ -150,7 +151,7 @@ fn concurrent_queries_never_change_job_output() {
                 // Exercise the batched v2 surface against the live job:
                 // a multi-key lookup over the sample, and a filtered
                 // scan restricted to one sampled key's prefix.
-                if i % 32 == 0 && !sampled.is_empty() {
+                if i.is_multiple_of(32) && !sampled.is_empty() {
                     let keys: Vec<Vec<u8>> = sampled.iter().take(8).cloned().collect();
                     if let Ok(batch) = client.lookup_many(JOB, OPERATOR, &keys, None) {
                         assert_eq!(batch.found.len(), keys.len());
@@ -465,60 +466,209 @@ fn pipelined_v2_batches_correlate_by_request_id() {
     server.shutdown();
 }
 
-/// Both serving cores speak identical wire bytes: the legacy threaded
-/// core (kept as the benchmark baseline behind
-/// [`ServerBuilder::threaded`]) serves the same v1 and v2 traffic.
+/// Polls `cond` every 10 ms for up to five seconds.
+fn wait_until(mut cond: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while Instant::now() < deadline {
+        if cond() {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    cond()
+}
+
+/// With `max_connections(2)`, a third connection is closed on accept
+/// while the first two keep being answered.
 #[test]
-fn threaded_core_serves_both_protocol_versions() {
+fn connections_beyond_the_cap_are_closed() {
     let registry = StateRegistry::new_shared();
     let keys = publish_fixture(&registry, 2);
     let mut server = ServerBuilder::new("127.0.0.1:0", Arc::clone(&registry))
-        .threaded(true)
-        .max_connections(8)
-        .read_timeout(Duration::from_secs(30))
+        .max_connections(2)
         .spawn()
         .unwrap();
-    assert_eq!(server.core(), "threaded");
+    // `connect` completes a handshake, so both are registered on return.
+    let mut first = StateClient::connect(server.local_addr()).unwrap();
+    let mut second = StateClient::connect_v1(server.local_addr()).unwrap();
+    first.ping().unwrap();
+    second.ping().unwrap();
 
-    let mut v1 = StateClient::connect_v1(server.local_addr()).unwrap();
-    v1.ping().unwrap();
-    assert!(v1
+    let mut third = TcpStream::connect(server.local_addr()).unwrap();
+    third
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut byte = [0u8; 1];
+    match third.read(&mut byte) {
+        Ok(0) => {}
+        Err(e) if !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+        other => panic!("third connection was not closed: {other:?}"),
+    }
+
+    first.ping().unwrap();
+    assert!(second
+        .lookup_latest(JOB, OPERATOR, &keys[0])
+        .unwrap()
+        .found
+        .is_some());
+    server.shutdown();
+}
+
+/// A connection that completes no frame within the read timeout is
+/// closed, and the open-connections gauge returns to 0.
+#[test]
+fn idle_connections_close_after_the_read_timeout() {
+    let registry = StateRegistry::new_shared();
+    let telemetry = Telemetry::new_shared();
+    let mut server = ServerBuilder::new("127.0.0.1:0", Arc::clone(&registry))
+        .telemetry(Arc::clone(&telemetry))
+        .read_timeout(Duration::from_millis(100))
+        .spawn()
+        .unwrap();
+    let open = telemetry.registry().gauge("serve_connections_open");
+    let mut client = StateClient::connect(server.local_addr()).unwrap();
+    client.ping().unwrap();
+    assert_eq!(open.get(), 1);
+
+    assert!(
+        wait_until(|| open.get() == 0),
+        "idle connection still open: serve_connections_open = {}",
+        open.get()
+    );
+    assert!(
+        client.ping().is_err(),
+        "the server did not close the socket"
+    );
+    server.shutdown();
+}
+
+/// A client that pipelines requests and never reads the replies stalls
+/// on its own socket instead of growing server memory: the server stops
+/// reading it once a bounded amount of output is unsent, keeps answering
+/// other clients, and delivers every reply in order once the client
+/// reads.
+#[test]
+fn unread_replies_bound_per_connection_buffers() {
+    let registry = StateRegistry::new_shared();
+    let keys = publish_fixture(&registry, 2);
+    let telemetry = Telemetry::new_shared();
+    let mut server = ServerBuilder::new("127.0.0.1:0", Arc::clone(&registry))
+        .telemetry(Arc::clone(&telemetry))
+        .spawn()
+        .unwrap();
+    let bytes_read = telemetry.registry().counter("serve_bytes_read_total");
+
+    // Handshake in v1 framing, then v2 frames whose ids give the order.
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let mut hello = Vec::new();
+    write_frame(
+        &mut hello,
+        &Request::Hello {
+            max_version: PROTOCOL_V2,
+        }
+        .encode(),
+    )
+    .unwrap();
+    raw.write_all(&hello).unwrap();
+    let ack = read_frame(&mut raw).unwrap().unwrap();
+    assert_eq!(
+        Response::decode(&ack).unwrap(),
+        Response::HelloAck {
+            version: PROTOCOL_V2
+        }
+    );
+
+    // Every answer (all 16 fixture entries) is several times larger than
+    // its request, so answered requests are bounded by the output limit.
+    let scan = Request::Scan {
+        job: JOB.into(),
+        operator: OPERATOR.into(),
+        range_start: MIN_TIMESTAMP,
+        range_end: MAX_TIMESTAMP,
+        limit: 1_024,
+    }
+    .encode();
+    let mut next_id = 0u64;
+    let mut chunk: Vec<u8> = Vec::new();
+    let mut pos = 0usize;
+    let mut sent = 0usize;
+    let mut write_some = |raw: &mut TcpStream| -> std::io::Result<usize> {
+        if pos == chunk.len() {
+            chunk.clear();
+            pos = 0;
+            for _ in 0..256 {
+                write_frame_v2(&mut chunk, next_id, &scan).unwrap();
+                next_id += 1;
+            }
+        }
+        let n = raw.write(&chunk[pos..])?;
+        pos += n;
+        Ok(n)
+    };
+    raw.set_nonblocking(true).unwrap();
+    // Waits until the server answers nothing for 100 ms.
+    let mut served = 0;
+    let mut settle = || loop {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = server.requests_served();
+        if std::mem::replace(&mut served, now) == now {
+            break;
+        }
+    };
+    // Stalled: a write still blocks once the server has gone idle. A
+    // server that kept reading would have drained the socket by then.
+    let stalled = loop {
+        match write_some(&mut raw) {
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                settle();
+                match write_some(&mut raw) {
+                    Ok(n) => sent += n,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break true,
+                    Err(e) => panic!("pipelined write failed: {e}"),
+                }
+            }
+            Err(e) => panic!("pipelined write failed: {e}"),
+        }
+        if sent > 2 * MAX_FRAME {
+            break false;
+        }
+    };
+    assert!(stalled, "the server kept reading {sent} unanswered bytes");
+
+    // Bound: one output limit (MAX_FRAME) of answered requests plus one
+    // read pass of buffered input (one maximal frame).
+    let read = bytes_read.get();
+    assert!(
+        read <= 2 * MAX_FRAME as u64,
+        "serve_bytes_read grew to {read} bytes"
+    );
+
+    // The stalled connection costs other clients nothing.
+    let mut other = StateClient::connect(server.local_addr()).unwrap();
+    other.ping().unwrap();
+    assert!(other
         .lookup_latest(JOB, OPERATOR, &keys[0])
         .unwrap()
         .found
         .is_some());
 
-    let mut v2 = StateClient::connect(server.local_addr()).unwrap();
-    assert_eq!(v2.version(), PROTOCOL_V2);
-    let batch = v2.lookup_many(JOB, OPERATOR, &keys, None).unwrap();
-    assert!(batch.found.iter().all(|f| f.is_some()));
-
-    server.shutdown();
-}
-
-/// The deprecated one-shot constructors still work — they are thin
-/// wrappers over [`ServerBuilder`] kept for source compatibility.
-#[test]
-#[allow(deprecated)]
-fn deprecated_spawn_wrappers_still_serve() {
-    let registry = StateRegistry::new_shared();
-    publish_fixture(&registry, 2);
-    let mut server = StateServer::spawn("127.0.0.1:0", Arc::clone(&registry)).unwrap();
-    let mut client = StateClient::connect(server.local_addr()).unwrap();
-    client.ping().unwrap();
-    assert_eq!(client.list_states().unwrap().len(), 2);
-    server.shutdown();
-
-    let mut server = StateServer::spawn_with_telemetry(
-        "127.0.0.1:0",
-        Arc::clone(&registry),
-        Some(Telemetry::new_shared()),
-    )
-    .unwrap();
-    let mut client = StateClient::connect(server.local_addr()).unwrap();
-    assert!(client
-        .prometheus()
-        .unwrap()
-        .contains("flowkv_serve_requests_total"));
+    // Read every reply while finishing the last partly written chunk.
+    raw.set_nonblocking(false).unwrap();
+    let mut reader = raw.try_clone().unwrap();
+    let expected = next_id;
+    let replies = std::thread::spawn(move || {
+        for id in 0..expected {
+            let frame = read_frame(&mut reader).unwrap().expect("reply");
+            let (got, body) = split_request_id(&frame).unwrap();
+            assert_eq!(got, id, "replies out of order");
+            match Response::decode(body).unwrap() {
+                Response::ScanResult { entries, .. } => assert_eq!(entries.len(), 16),
+                other => panic!("reply {id}: unexpected {other:?}"),
+            }
+        }
+    });
+    raw.write_all(&chunk[pos..]).unwrap();
+    replies.join().expect("reply reader panicked");
     server.shutdown();
 }

@@ -420,7 +420,7 @@ fn run_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backends::BackendChoice;
+    use crate::backends::{BackendChoice, FactoryOptions};
     use crate::functions::{CountAggregate, MedianProcess};
     use crate::job::{AggregateSpec, JobBuilder};
     use crate::window::WindowAssigner;
@@ -461,7 +461,10 @@ mod tests {
             .build()
     }
 
-    fn triples(outputs: &[Tuple]) -> Vec<(Vec<u8>, Vec<u8>, i64)> {
+    /// Sorted `(key, value, timestamp)` outputs of one run.
+    type Triples = Vec<(Vec<u8>, Vec<u8>, i64)>;
+
+    fn triples(outputs: &[Tuple]) -> Triples {
         outputs
             .iter()
             .map(|t| (t.key.clone(), t.value.clone(), t.timestamp))
@@ -504,7 +507,7 @@ mod tests {
     fn sharded_output_is_identical_across_parallelisms() {
         for job in [count_job(), session_job()] {
             let input = tuples(4_000, 29);
-            let mut reference: Option<Vec<(Vec<u8>, Vec<u8>, i64)>> = None;
+            let mut reference: Option<Triples> = None;
             for n in [1usize, 2, 4] {
                 let dir = ScratchDir::new("cluster-eq").unwrap();
                 let mut opts = RunOptions::new(dir.path());

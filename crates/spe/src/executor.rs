@@ -2087,7 +2087,7 @@ fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backends::BackendChoice;
+    use crate::backends::{BackendChoice, FactoryOptions};
     use crate::functions::{CountAggregate, FnProcess};
     use crate::job::{AggregateSpec, JobBuilder};
     use crate::window::WindowAssigner;
@@ -2326,7 +2326,10 @@ mod tests {
                 AggregateSpec::Incremental(StdArc::new(CountAggregate)),
             )
             .build();
-        let mut reference: Option<(Vec<(Vec<u8>, Vec<u8>)>, Vec<(Vec<u8>, Vec<u8>)>)> = None;
+        // Sorted (key, value) outputs: all of them, and those before the
+        // checkpoint.
+        type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
+        let mut reference: Option<(Pairs, Pairs)> = None;
         for batch_size in [1usize, 8, 256] {
             let dir = ScratchDir::new("exec-batched").unwrap();
             let ckpt = ScratchDir::new("exec-batched-ckpt").unwrap();
@@ -2350,8 +2353,7 @@ mod tests {
                 "one latency sample per tuple, not per batch (batch_size {batch_size})"
             );
             let sorted = |v: &[Tuple]| {
-                let mut v: Vec<(Vec<u8>, Vec<u8>)> =
-                    v.iter().map(|t| (t.key.clone(), t.value.clone())).collect();
+                let mut v: Pairs = v.iter().map(|t| (t.key.clone(), t.value.clone())).collect();
                 v.sort();
                 v
             };

@@ -228,7 +228,7 @@ pub fn run_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backends::BackendChoice;
+    use crate::backends::{BackendChoice, FactoryOptions};
     use crate::functions::CountAggregate;
     use crate::job::{AggregateSpec, JobBuilder};
     use crate::source::TupleLog;
