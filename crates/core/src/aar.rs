@@ -456,6 +456,9 @@ impl AarStore {
         let Some(ring) = self.ring.clone() else {
             return Ok(());
         };
+        if let Some(p) = &self.prefetch_probe {
+            p.selections.inc();
+        }
         let due = stream_time.saturating_add(self.horizon);
         let mut candidates: Vec<WindowId> = self
             .on_disk

@@ -169,6 +169,16 @@ pub struct AurStore {
     inflight_bytes: u64,
     /// Prefetch issued/hit/late/wasted counters; `None` without telemetry.
     prefetch_probe: Option<PrefetchProbe>,
+    /// Set by every event that can change the prefetch selection's
+    /// answer; while clear, a tick selects only once its due bound
+    /// reaches `next_due` (see [`AurStore::submit_prefetch`]).
+    prefetch_dirty: bool,
+    /// Smallest ETT after the last selection's due bound among the
+    /// windows it could have chosen; `None` when there was none.
+    next_due: Option<Timestamp>,
+    /// The last selection stopped at the byte budget, so freeing
+    /// prefetched bytes can change its answer.
+    budget_limited: bool,
 }
 
 /// Foreground bookkeeping for one outstanding ring submission.
@@ -185,7 +195,17 @@ struct Inflight {
 struct AsyncBatch {
     generation: u64,
     epoch: u64,
+    /// On-disk bytes of the index records the job scanned.
+    index_bytes: u64,
     windows: Vec<AsyncWindow>,
+}
+
+impl AsyncBatch {
+    /// Every byte the job read: its index scan plus each data record's
+    /// on-disk length, as the synchronous batch read counts them.
+    fn read_bytes(&self) -> u64 {
+        self.index_bytes + self.windows.iter().map(|w| w.bytes).sum::<u64>()
+    }
 }
 
 struct AsyncWindow {
@@ -197,6 +217,7 @@ struct AsyncWindow {
     /// `disk_records` for the payload to be a complete snapshot.
     found_records: u64,
     values: Vec<Vec<u8>>,
+    /// On-disk length (header included) of the data records read.
     bytes: u64,
 }
 
@@ -301,6 +322,9 @@ impl AurStore {
             inflight_windows: HashMap::new(),
             inflight_bytes: 0,
             prefetch_probe: None,
+            prefetch_dirty: true,
+            next_due: None,
+            budget_limited: false,
         };
         if let Some(generation) = store.find_generation()? {
             store.generation = generation;
@@ -345,6 +369,7 @@ impl AurStore {
         // copy so the eventual read fetches authoritative state.
         if self.prefetch.evict(key, window) {
             self.metrics.add_prefetch_eviction();
+            self.prefetch_dirty |= self.budget_limited;
         }
         self.latest_ts = self.latest_ts.max(ts);
         self.stat.observe_append(key, window, ts, &self.predictor);
@@ -438,6 +463,8 @@ impl AurStore {
         let mut out = disk_values;
         out.extend(mem_values);
         self.metrics.add_records_read(out.len() as u64);
+        // A take may free prefetched bytes the last selection lacked.
+        self.prefetch_dirty |= self.budget_limited;
         self.maybe_compact()?;
         Ok(out)
     }
@@ -524,6 +551,8 @@ impl AurStore {
         if let Some(w) = self.index_writer.as_mut() {
             w.flush()?;
         }
+        // Flushed windows are prefetch candidates now.
+        self.prefetch_dirty = true;
         self.metrics.add_flush();
         Ok(())
     }
@@ -663,6 +692,7 @@ impl AurStore {
         // them, and invalidate any completion drained later.
         self.abandon_inflight();
         self.epoch += 1;
+        self.prefetch_dirty = true;
         self.buffer.clear();
         self.buffer_bytes = 0;
         self.stat.clear();
@@ -736,9 +766,10 @@ impl AurStore {
         // for a maybe — the slower completion is simply discarded as
         // wasted at drain time.
         let mut selected: HashMap<Vec<u8>, HashSet<WindowId>> = HashMap::new();
-        for (k, w) in self.stat.select_soonest(n, due_ett, |k, w| {
+        let (soonest, _) = self.stat.select_soonest(n, due_ett, |k, w| {
             self.prefetch.contains(k, w) || (k == key && w == window)
-        }) {
+        });
+        for (k, w) in soonest {
             selected.entry(k).or_default().insert(w);
         }
         selected.entry(key.to_vec()).or_default().insert(window);
@@ -860,6 +891,11 @@ impl AurStore {
     /// a pool thread (injected crash faults) re-raise here, on the
     /// worker thread, exactly as if the read had been synchronous.
     fn drain_ring(&mut self) -> Result<()> {
+        // Only this store submits under its tag, so with nothing in
+        // flight there is nothing to drain.
+        if self.inflight.is_empty() {
+            return Ok(());
+        }
         let Some(ring) = self.ring.clone() else {
             return Ok(());
         };
@@ -872,6 +908,9 @@ impl AurStore {
     /// Retires one completion: unwinds the in-flight bookkeeping, then
     /// validates and installs the payload.
     fn settle(&mut self, completion: Completion) -> Result<()> {
+        // Installed, wasted or failed, the windows leave the in-flight
+        // set and may be selected again.
+        self.prefetch_dirty = true;
         if let Some(meta) = self.inflight.remove(&completion.id) {
             for (key, window) in &meta.windows {
                 let emptied = match self.inflight_windows.get_mut(key) {
@@ -909,6 +948,8 @@ impl AurStore {
     /// compaction or restore (generation/epoch), a consume (Stat entry
     /// gone), or a flush adding records (disk_records advanced).
     fn install(&mut self, batch: AsyncBatch) {
+        // The bytes were read whether or not the windows install.
+        self.metrics.add_bytes_read(batch.read_bytes());
         let stale = batch.generation != self.generation || batch.epoch != self.epoch;
         let mut installed = 0i64;
         for w in batch.windows {
@@ -922,7 +963,6 @@ impl AurStore {
                         && w.found_records == w.disk_records
                         && !self.prefetch.contains(&w.key, w.window) =>
                 {
-                    self.metrics.add_bytes_read(w.bytes);
                     self.prefetch.extend((w.key, w.window), w.values);
                     installed += 1;
                 }
@@ -963,10 +1003,16 @@ impl AurStore {
     /// consistent snapshot (scan start, dead-prefix counters, index
     /// length) and never mutates store state — all bookkeeping commits
     /// happen at drain time on the worker thread.
+    ///
+    /// The selection walks every live window, so it runs only when its
+    /// answer can have changed since the last one found nothing to
+    /// submit: after a flush, a settled completion, a compaction, close
+    /// or restore (`prefetch_dirty`); once the due bound reaches the next
+    /// on-disk ETT (`next_due`); or after a take or eviction freed
+    /// prefetched bytes a budget-limited selection lacked. An ETT moves
+    /// only on append, which buffers the window, and buffered windows
+    /// are never chosen until the flush that re-arms the selection.
     fn submit_prefetch(&mut self, stream_time: Timestamp) -> Result<()> {
-        let Some(ring) = self.ring.clone() else {
-            return Ok(());
-        };
         if self.cfg.read_batch_ratio <= 0.0 || self.stat.is_empty() {
             return Ok(());
         }
@@ -978,9 +1024,19 @@ impl AurStore {
             return Ok(());
         }
         let due = stream_time.max(self.latest_ts).saturating_add(self.horizon);
-        let candidates = self.stat.select_soonest(0, Some(due), |k, w| {
-            self.prefetch.contains(k, w) || self.inflight_contains(k, w)
-        });
+        if !self.prefetch_dirty && self.next_due.is_none_or(|next| due < next) {
+            return Ok(());
+        }
+        self.prefetch_dirty = false;
+        self.budget_limited = false;
+        if let Some(p) = &self.prefetch_probe {
+            p.selections.inc();
+        }
+        // Nothing is in flight here, so only resident windows are skipped.
+        let (candidates, next_due) = self
+            .stat
+            .select_soonest(0, Some(due), |k, w| self.prefetch.contains(k, w));
+        self.next_due = next_due;
         if candidates.is_empty() {
             return Ok(());
         }
@@ -1001,6 +1057,7 @@ impl AurStore {
                 continue;
             };
             if resident + est_bytes + s.disk_bytes > self.budget_bytes {
+                self.budget_limited = true;
                 break;
             }
             est_bytes += s.disk_bytes;
@@ -1022,6 +1079,9 @@ impl AurStore {
         if !self.vfs.exists(&index_path) {
             return Ok(());
         }
+        let Some(ring) = self.ring.clone() else {
+            return Ok(());
+        };
         let index_limit = match self.index_writer.as_ref() {
             Some(w) => w.offset(),
             None => self
@@ -1031,12 +1091,24 @@ impl AurStore {
         };
         let data_path = self.dir.join(data_file_name(self.generation));
         let scan_start = self.index_scan_start;
-        let consumed = self.consumed_records.clone();
         let generation = self.generation;
         let epoch = self.epoch;
-        let mut selected: HashMap<Vec<u8>, HashMap<WindowId, usize>> = HashMap::new();
+        // Per chosen window: its slot in the batch, and how many of its
+        // first index entries from the scan start belong to a consumed
+        // incarnation. Other windows' entries are skipped unread, so
+        // only the chosen windows' dead prefixes travel with the job.
+        let mut selected: HashMap<Vec<u8>, HashMap<WindowId, (usize, u64)>> = HashMap::new();
         for (i, (k, w, _)) in cands.iter().enumerate() {
-            selected.entry(k.clone()).or_default().insert(*w, i);
+            let dead_prefix = self
+                .consumed_records
+                .get(k)
+                .and_then(|ws| ws.get(w))
+                .copied()
+                .unwrap_or(0);
+            selected
+                .entry(k.clone())
+                .or_default()
+                .insert(*w, (i, dead_prefix));
         }
         let templates = cands.clone();
         let job = move |vfs: &Arc<dyn Vfs>| -> std::io::Result<Box<dyn Any + Send>> {
@@ -1051,8 +1123,9 @@ impl AurStore {
                     bytes: 0,
                 })
                 .collect();
-            let mut wanted: Vec<(usize, u64)> = Vec::new();
-            let mut seen: HashMap<StateKey, u64> = HashMap::new();
+            let mut wanted: Vec<(usize, u64, u64)> = Vec::new();
+            let mut seen = vec![0u64; out.len()];
+            let mut index_bytes = 0u64;
             let mut reader =
                 LogReader::open_at_in(vfs, &index_path, scan_start).map_err(ring_err)?;
             // Stop *before* crossing the snapshot boundary: bytes past
@@ -1060,40 +1133,31 @@ impl AurStore {
             // writing concurrently, and reading into a half-written
             // record would fail the whole batch as a torn file.
             while reader.offset() < index_limit {
-                let Some((_, payload)) = reader.next_record().map_err(ring_err)? else {
+                let Some((loc, payload)) = reader.next_record().map_err(ring_err)? else {
                     break;
                 };
+                index_bytes += loc.disk_len();
                 let entry = IndexEntryRef::decode(&payload).map_err(ring_err)?;
-                let dead_prefix = consumed
-                    .get(entry.key)
-                    .and_then(|ws| ws.get(&entry.window))
-                    .copied()
-                    .unwrap_or(0);
-                let is_dead = if dead_prefix == 0 {
-                    false
-                } else {
-                    let position = seen.entry((entry.key.to_vec(), entry.window)).or_insert(0);
-                    let dead = *position < dead_prefix;
-                    *position += 1;
-                    dead
-                };
-                if is_dead {
+                let Some(&(idx, dead_prefix)) =
+                    selected.get(entry.key).and_then(|ws| ws.get(&entry.window))
+                else {
                     continue;
-                }
-                if let Some(&idx) = selected.get(entry.key).and_then(|ws| ws.get(&entry.window)) {
-                    wanted.push((idx, entry.offset));
+                };
+                seen[idx] += 1;
+                if seen[idx] > dead_prefix {
+                    wanted.push((idx, entry.offset, entry.len));
                 }
             }
             // Offset order: sequential I/O, and a window's records stay
             // in append order — identical to the synchronous read.
-            wanted.sort_by_key(|&(_, offset)| offset);
+            wanted.sort_by_key(|&(_, offset, _)| offset);
             if !wanted.is_empty() {
                 let mut data = RandomAccessLog::open_in(vfs, &data_path).map_err(ring_err)?;
-                for (idx, offset) in wanted {
+                for (idx, offset, len) in wanted {
                     let payload = data.read_record_at(offset).map_err(ring_err)?;
                     let values = decode_values(&payload).map_err(ring_err)?;
                     let slot = &mut out[idx];
-                    slot.bytes += payload.len() as u64;
+                    slot.bytes += len;
                     slot.found_records += 1;
                     slot.values.extend(values);
                 }
@@ -1101,6 +1165,7 @@ impl AurStore {
             Ok(Box::new(AsyncBatch {
                 generation,
                 epoch,
+                index_bytes,
                 windows: out,
             }) as Box<dyn Any + Send>)
         };
@@ -1140,8 +1205,8 @@ impl AurStore {
                 IoOutcome::Panicked(payload) => std::panic::resume_unwind(payload),
                 IoOutcome::Ok(payload) => {
                     if let Ok(batch) = payload.downcast::<AsyncBatch>() {
-                        let bytes = batch.windows.iter().map(|w| w.bytes).sum();
-                        self.waste(bytes);
+                        self.metrics.add_bytes_read(batch.read_bytes());
+                        self.waste(batch.windows.iter().map(|w| w.bytes).sum());
                     }
                 }
                 IoOutcome::Err(_) => {}
@@ -1255,6 +1320,7 @@ impl AurStore {
         self.consumed_records.clear();
         self.index_scan_start = 0;
         self.data_reader = None;
+        self.prefetch_dirty = true;
         Ok(())
     }
 
@@ -1302,6 +1368,7 @@ impl AurStore {
     /// the data log's final record — which then becomes dead weight for
     /// the next compaction). The torn tail is truncated before replay.
     fn rebuild_from_index(&mut self) -> Result<()> {
+        self.prefetch_dirty = true;
         self.stat.clear();
         self.prefetch.clear();
         self.consumed_records.clear();
@@ -1780,6 +1847,141 @@ mod tests {
             s.take(b"a", w(0, 100)).unwrap(),
             vec![b"v1".to_vec(), b"v2".to_vec()]
         );
+    }
+
+    /// A ring store with horizon 0 and the given prefetch byte budget,
+    /// plus its `prefetch_selections_total` counter.
+    fn gated_store(dir: &Path, budget: u64) -> (AurStore, Arc<IoRing>, Arc<Counter>) {
+        let (s, ring, _) = ring_store(dir);
+        let policy = IoPolicy {
+            prefetch_horizon: 0,
+            prefetch_budget_bytes: budget,
+            ..IoPolicy::with_threads(2)
+        };
+        let telemetry = Telemetry::new_shared();
+        let selections = telemetry
+            .registry()
+            .counter("prefetch_selections_total{store=t}");
+        let s = s
+            .with_ring(ring.clone(), 7, &policy)
+            .with_telemetry(telemetry, "t");
+        (s, ring, selections)
+    }
+
+    #[test]
+    fn prefetch_selects_only_on_change() {
+        let dir = ScratchDir::new("aur-ring-gate").unwrap();
+        let (mut s, ring, selections) = gated_store(dir.path(), 8 << 20);
+        // Session gap 100: ETTs 110 and 150; stream time reaches 50.
+        s.append(b"a", w(0, 1000), b"v", 10).unwrap();
+        s.append(b"b", w(0, 1000), b"v", 50).unwrap();
+        s.flush().unwrap();
+        s.advance_prefetch(0).unwrap();
+        assert_eq!(selections.get(), 1);
+        assert!(s.inflight.is_empty(), "nothing is due at 50");
+        for _ in 0..1_000 {
+            s.advance_prefetch(0).unwrap();
+        }
+        assert_eq!(
+            selections.get(),
+            1,
+            "an unchanged answer was selected again"
+        );
+        // Stream time crossing the next ETT selects, and submits `a`.
+        s.advance_prefetch(110).unwrap();
+        assert_eq!(selections.get(), 2);
+        assert_eq!(s.inflight.len(), 1);
+        // A settled completion selects once more (`b` is not due yet).
+        ring.wait_idle();
+        s.advance_prefetch(110).unwrap();
+        assert_eq!(selections.get(), 3);
+        assert_eq!(s.prefetched_windows(), 1);
+        assert!(s.inflight.is_empty());
+        for _ in 0..1_000 {
+            s.advance_prefetch(110).unwrap();
+        }
+        assert_eq!(selections.get(), 3);
+        // A take that no budget-limited selection waits on re-arms
+        // nothing; a flush does.
+        assert_eq!(s.take(b"a", w(0, 1000)).unwrap(), vec![b"v".to_vec()]);
+        s.advance_prefetch(110).unwrap();
+        assert_eq!(selections.get(), 3);
+        s.append(b"c", w(0, 1000), b"v", 60).unwrap();
+        s.flush().unwrap();
+        s.advance_prefetch(110).unwrap();
+        assert_eq!(selections.get(), 4);
+
+        // Budget 100 B holds one 74 B record (one 64 B value), not two.
+        let dir = ScratchDir::new("aur-ring-gate-budget").unwrap();
+        let (mut s, ring, selections) = gated_store(dir.path(), 100);
+        s.append(b"x", w(0, 1000), &[7u8; 64], 10).unwrap();
+        s.append(b"y", w(0, 1000), &[7u8; 64], 20).unwrap();
+        s.flush().unwrap();
+        s.advance_prefetch(200).unwrap();
+        assert_eq!(selections.get(), 1);
+        assert!(s.budget_limited);
+        ring.wait_idle();
+        s.advance_prefetch(200).unwrap();
+        assert_eq!(selections.get(), 2);
+        assert!(s.inflight.is_empty(), "`y` exceeds the budget beside `x`");
+        for _ in 0..1_000 {
+            s.advance_prefetch(200).unwrap();
+        }
+        assert_eq!(selections.get(), 2);
+        // Taking `x` frees its bytes: the next tick selects and submits `y`.
+        assert_eq!(s.take(b"x", w(0, 1000)).unwrap().len(), 1);
+        s.advance_prefetch(200).unwrap();
+        assert_eq!(selections.get(), 3);
+        assert_eq!(s.inflight.len(), 1);
+        ring.wait_idle();
+        s.advance_prefetch(200).unwrap();
+        assert_eq!(s.take(b"y", w(0, 1000)).unwrap().len(), 1);
+        assert_eq!(s.metrics.snapshot().prefetch_hits, 2);
+    }
+
+    #[test]
+    fn ring_and_sync_reads_count_the_same_bytes() {
+        let bytes_read = |s: &mut AurStore, ring: Option<&IoRing>| {
+            s.append(b"a", w(0, 100), &[7u8; 64], 10).unwrap();
+            s.flush().unwrap();
+            if let Some(ring) = ring {
+                s.advance_prefetch(50).unwrap();
+                ring.wait_idle();
+                s.advance_prefetch(50).unwrap();
+            }
+            assert_eq!(s.take(b"a", w(0, 100)).unwrap(), vec![vec![7u8; 64]]);
+            let m = s.metrics.snapshot();
+            assert_eq!(m.prefetch_hits, u64::from(ring.is_some()));
+            m.bytes_read
+        };
+        let dir = ScratchDir::new("aur-bytes-sync").unwrap();
+        let sync = bytes_read(&mut session_store(dir.path(), cfg_small()), None);
+        let dir = ScratchDir::new("aur-bytes-ring").unwrap();
+        let (mut s, ring, _) = ring_store(dir.path());
+        let ring_read = bytes_read(&mut s, Some(&ring));
+        // One index record plus one 74 B data record (header included).
+        assert!(sync > 74, "sync read counted {sync} B");
+        assert_eq!(ring_read, sync);
+    }
+
+    #[test]
+    fn async_prefetch_skips_consumed_incarnations() {
+        let dir = ScratchDir::new("aur-ring-dead").unwrap();
+        let (mut s, ring, _) = ring_store(dir.path());
+        // `x` stays live ahead of `a`, so the scan start cannot move past
+        // the index entry of `a`'s consumed first incarnation.
+        s.append(b"x", w(0, 1000), b"x", 10).unwrap();
+        s.append(b"a", w(0, 100), b"old", 10).unwrap();
+        s.flush().unwrap();
+        assert_eq!(s.take(b"a", w(0, 100)).unwrap(), vec![b"old".to_vec()]);
+        s.append(b"a", w(0, 100), b"new", 20).unwrap();
+        s.flush().unwrap();
+        s.advance_prefetch(50).unwrap();
+        ring.wait_idle();
+        s.advance_prefetch(50).unwrap();
+        let hits = s.metrics.snapshot().prefetch_hits;
+        assert_eq!(s.take(b"a", w(0, 100)).unwrap(), vec![b"new".to_vec()]);
+        assert_eq!(s.metrics.snapshot().prefetch_hits, hits + 1);
     }
 
     #[test]

@@ -139,7 +139,8 @@ impl StatTable {
 
     /// Returns the live windows with on-disk state whose ETTs are the
     /// soonest, skipping unpredictable windows and any for which `skip`
-    /// returns `true` (paper §4.2, "Selecting Windows To Be Read").
+    /// returns `true` (paper §4.2, "Selecting Windows To Be Read"), plus
+    /// the ETT of the soonest such window left out.
     ///
     /// At least `n` windows are returned (when available); additionally,
     /// *every* window already due — ETT at or before `due_ett` — is
@@ -147,28 +148,36 @@ impl StatTable {
     /// be read no later than the one that triggered this batch, so
     /// loading them in the same sequential scan is strictly cheaper than
     /// scanning again (scale adaptation documented in DESIGN.md §5).
+    /// With `n = 0`, the left-out ETT is the due bound at which the
+    /// selection next grows.
     pub fn select_soonest(
         &self,
         n: usize,
         due_ett: Option<Timestamp>,
         mut skip: impl FnMut(&[u8], WindowId) -> bool,
-    ) -> Vec<StateKey> {
+    ) -> (Vec<StateKey>, Option<Timestamp>) {
         let mut candidates: Vec<(Timestamp, &Vec<u8>, WindowId)> = self
             .iter()
             .filter(|(k, w, stat)| stat.disk_records > 0 && !skip(k, *w))
             .filter_map(|(k, w, stat)| stat.ett.map(|ett| (ett, k, w)))
             .collect();
-        candidates.sort_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then_with(|| a.1.cmp(b.1))
-                .then_with(|| a.2.cmp(&b.2))
+        let due_count = due_ett.map_or(0, |due| {
+            candidates.iter().filter(|&&(ett, _, _)| ett <= due).count()
         });
-        candidates
+        let taken = n.max(due_count).min(candidates.len());
+        // Order only what is taken: partition the `taken` soonest to the
+        // front, leaving the soonest left-out window right after them.
+        if taken < candidates.len() {
+            candidates.select_nth_unstable(taken);
+        }
+        let next = candidates.get(taken).map(|&(ett, _, _)| ett);
+        candidates.truncate(taken);
+        candidates.sort_unstable();
+        let selected = candidates
             .into_iter()
-            .enumerate()
-            .take_while(|(i, (ett, _, _))| *i < n || due_ett.is_some_and(|due| *ett <= due))
-            .map(|(_, (_, k, w))| (k.clone(), w))
-            .collect()
+            .map(|(_, k, w)| (k.clone(), w))
+            .collect();
+        (selected, next)
     }
 
     /// Approximate memory footprint in bytes.
@@ -242,11 +251,12 @@ mod tests {
         }
         // No disk data for `e`: never selected.
         t.observe_append(b"e", w(0, 100), 1, &p);
-        let selected = t.select_soonest(2, None, |_, _| false);
+        let (selected, next) = t.select_soonest(2, None, |_, _| false);
         let keys: Vec<&[u8]> = selected.iter().map(|(k, _)| k.as_slice()).collect();
         assert_eq!(keys, vec![b"d" as &[u8], b"b"]);
+        assert_eq!(next, Some(30));
         // Skip filter removes candidates.
-        let selected = t.select_soonest(2, None, |k, _| k == b"d");
+        let (selected, _) = t.select_soonest(2, None, |k, _| k == b"d");
         let keys: Vec<&[u8]> = selected.iter().map(|(k, _)| k.as_slice()).collect();
         assert_eq!(keys, vec![b"b" as &[u8], b"c"]);
     }
@@ -259,13 +269,65 @@ mod tests {
             t.observe_append(key, w(0, 200), ts, &p);
             t.add_disk(key, w(0, 200), 10);
         }
-        // n = 1, but everything due at ETT 17 (= 7 + gap) comes along.
-        let selected = t.select_soonest(1, Some(17), |_, _| false);
+        // n = 1, but everything due at ETT 17 (= 7 + gap) comes along;
+        // `d` (ETT 110) is next.
+        let (selected, next) = t.select_soonest(1, Some(17), |_, _| false);
         let keys: Vec<&[u8]> = selected.iter().map(|(k, _)| k.as_slice()).collect();
         assert_eq!(keys, vec![b"a" as &[u8], b"b", b"c"]);
-        // Without a due bound, only the n soonest are taken.
-        let selected = t.select_soonest(1, None, |_, _| false);
+        assert_eq!(next, Some(110));
+        // With n = 0 only the due windows are taken; skipped windows are
+        // neither taken nor next.
+        let (selected, next) = t.select_soonest(0, Some(16), |k, _| k == b"b");
         assert_eq!(selected.len(), 1);
+        assert_eq!(next, Some(17));
+        let (selected, next) = t.select_soonest(0, Some(110), |_, _| false);
+        assert_eq!((selected.len(), next), (4, None));
+        // Without a due bound, only the n soonest are taken.
+        let (selected, _) = t.select_soonest(1, None, |_, _| false);
+        assert_eq!(selected.len(), 1);
+    }
+
+    #[test]
+    fn selection_matches_a_full_sort() {
+        let p = EttPredictor::SessionGap { gap: 10 };
+        let mut seed = 7u64;
+        let mut next_rand = |m: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % m
+        };
+        for _ in 0..50 {
+            let mut t = StatTable::new();
+            for _ in 0..next_rand(40) {
+                let key = [next_rand(8) as u8];
+                let window = w(next_rand(4) as i64, 100);
+                // Few distinct timestamps, so ETTs tie often.
+                t.observe_append(&key, window, next_rand(6) as i64, &p);
+                if next_rand(4) > 0 {
+                    t.add_disk(&key, window, 1);
+                }
+            }
+            let n = next_rand(6) as usize;
+            let due = (next_rand(3) > 0).then(|| 10 + next_rand(6) as i64);
+            let mut all: Vec<_> = t
+                .iter()
+                .filter(|(_, _, s)| s.disk_records > 0)
+                .map(|(k, w, s)| (s.ett.unwrap(), k.clone(), w))
+                .collect();
+            all.sort();
+            let taken = all
+                .iter()
+                .enumerate()
+                .take_while(|(i, (ett, _, _))| *i < n || due.is_some_and(|d| *ett <= d))
+                .count();
+            let expected: Vec<StateKey> = all[..taken]
+                .iter()
+                .map(|(_, k, w)| (k.clone(), *w))
+                .collect();
+            let next = all.get(taken).map(|(ett, _, _)| *ett);
+            assert_eq!(t.select_soonest(n, due, |_, _| false), (expected, next));
+        }
     }
 
     #[test]
@@ -273,6 +335,6 @@ mod tests {
         let mut t = StatTable::new();
         t.observe_append(b"k", w(0, 100), 5, &EttPredictor::Unpredictable);
         t.add_disk(b"k", w(0, 100), 10);
-        assert!(t.select_soonest(10, None, |_, _| false).is_empty());
+        assert_eq!(t.select_soonest(10, None, |_, _| false), (vec![], None));
     }
 }

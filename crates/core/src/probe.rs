@@ -15,7 +15,10 @@
 //!   restored, or appended under the in-flight read);
 //! - `prefetch_timeliness_ms{store=…}` — histogram of the ETT
 //!   predicted-vs-actual absolute error on prefetch-served reads: how
-//!   much slack (or deficit) the predictor gave the scheduler.
+//!   much slack (or deficit) the predictor gave the scheduler;
+//! - `prefetch_selections_total{store=…}` — passes over the store's
+//!   live windows choosing what to prefetch. AUR runs one only when its
+//!   answer can have changed (DESIGN §11); AAR runs one per tick.
 
 use std::sync::Arc;
 
@@ -42,6 +45,8 @@ pub struct PrefetchProbe {
     pub wasted_bytes: Arc<Counter>,
     /// ETT |actual − predicted| (ms) on prefetch-served reads.
     pub timeliness_ms: Arc<Histogram>,
+    /// Selection passes choosing what to prefetch.
+    pub selections: Arc<Counter>,
 }
 
 impl PrefetchProbe {
@@ -54,6 +59,7 @@ impl PrefetchProbe {
             late: registry.counter(&format!("prefetch_late_total{{store={tag}}}")),
             wasted_bytes: registry.counter(&format!("prefetch_wasted_bytes{{store={tag}}}")),
             timeliness_ms: registry.histogram(&format!("prefetch_timeliness_ms{{store={tag}}}")),
+            selections: registry.counter(&format!("prefetch_selections_total{{store={tag}}}")),
         }
     }
 }

@@ -182,6 +182,7 @@ fn prefetch_families_report_ring_accuracy() {
         "prefetch_hits_total",
         "prefetch_late_total",
         "prefetch_wasted_bytes",
+        "prefetch_selections_total",
     ] {
         let values = metric_values(terminal, prefix, "counter");
         assert!(!values.is_empty(), "terminal snapshot missing {prefix}");
@@ -194,6 +195,10 @@ fn prefetch_families_report_ring_accuracy() {
     // The ring had work to do on this AUR query, and a prefetch can only
     // be served after it was issued.
     assert!(totals["prefetch_issued_total"] > 0, "ring issued nothing");
+    assert!(
+        totals["prefetch_selections_total"] > 0,
+        "no prefetch selection ran: {totals:?}"
+    );
     assert!(
         totals["prefetch_issued_total"] >= totals["prefetch_hits_total"],
         "more hits than issues: {totals:?}"
